@@ -70,9 +70,9 @@ bench-json:
 
 # Sharded-engine benchmarks as a committed JSON report (BENCH_3.json):
 # scatter-gather window queries and live mutation throughput at 1/2/4/8
-# shards. The Apply series is the sharding acceptance measurement —
-# mutation throughput at 4 shards must be at least 2x the 1-shard run
-# (each shard's copy-on-write publish clones only its own slab).
+# shards. With the paged tile directory a publish copies only the pages
+# it touches, so the Apply series now shows what the parallel apply
+# loops add on top of a cheap 1-shard publish (docs/SHARDING.md).
 BENCH_SHARD_TIME ?= 1s
 
 bench-shard:

@@ -6,6 +6,7 @@
 package twolayer_test
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -537,10 +538,14 @@ func sin(a float64) float64 { return math.Sin(a) }
 
 // BenchmarkLiveApply: per-mutation cost through the single-writer apply
 // loop — one Insert call is submit, batch, copy-on-write apply, and
-// publish. The durable variants add write-ahead journaling: fsync=none
-// leaves flushing to the OS, fsync=interval (the server default) fsyncs
-// in the background, and fsync=always pays one fsync per acknowledged
-// batch.
+// publish. The live/grid=N variants preload the ROADS objects on an NxN
+// grid and insert copies of them under fresh IDs: with the paged tile
+// directory a publish copies only the pages the insert touches, so
+// ns/op and B/op stay roughly flat as the grid (and the occupied-tile
+// count) grows. The durable variants start empty and add write-ahead
+// journaling: fsync=none leaves flushing to the OS, fsync=interval (the
+// server default) fsyncs in the background, and fsync=always pays one
+// fsync per acknowledged batch.
 func BenchmarkLiveApply(b *testing.B) {
 	benchData()
 	opts := twolayer.Options{
@@ -560,14 +565,26 @@ func BenchmarkLiveApply(b *testing.B) {
 		}
 	}
 
-	b.Run("live", func(b *testing.B) {
-		lv, err := twolayer.NewLive(opts, twolayer.LiveOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer lv.Close()
-		run(b, lv)
-	})
+	rects := make([]twolayer.Rect, len(entries))
+	for i := range entries {
+		rects[i] = entries[i].Rect
+	}
+	for _, g := range []int{128, 512, 1024} {
+		b.Run(fmt.Sprintf("live/grid=%d", g), func(b *testing.B) {
+			o := opts
+			o.GridSize = g
+			lv := twolayer.LiveFrom(twolayer.BuildRects(rects, o), twolayer.LiveOptions{})
+			defer lv.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := twolayer.ID(len(rects) + i)
+				if _, err := lv.Insert(id, rects[i%len(rects)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, v := range []struct {
 		name   string
 		policy twolayer.SyncPolicy

@@ -82,7 +82,7 @@ func (ix *Index) bulkLoad(entries []spatial.Entry) {
 // count. It requires a freshly constructed (empty) index and reports
 // whether it ran; on false the caller falls back to sequential inserts.
 func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
-	if len(ix.tiles) != 0 || ix.size != 0 || ix.epoch != 0 {
+	if ix.ntiles != 0 || ix.size != 0 || ix.epoch != 0 {
 		return false
 	}
 	numTiles := ix.g.NumTiles()
@@ -132,29 +132,22 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 		panic(fmt.Sprintf("core: inserting invalid rect %v (id %d)", e.Rect, e.ID))
 	}
 
-	// Merge: size the tile pool and the entry slab from the counts.
-	occupied, total := 0, 0
-	for id := 0; id < numTiles; id++ {
-		base := id * 4
-		ct := int(counts[base]) + int(counts[base+1]) + int(counts[base+2]) + int(counts[base+3])
-		if ct > 0 {
-			occupied++
-			total += ct
-		}
+	// Merge: size the entry slab from the counts.
+	total := 0
+	for _, n := range counts {
+		total += int(n)
 	}
 	if total > math.MaxInt32 {
-		return false // int32 fill cursors would overflow; unreachable in-memory
+		return false // int32 slab cursors would overflow; unreachable in-memory
 	}
-	ix.tiles = make([]tile, occupied)
-	ix.tileIDs = make([]int32, 0, occupied)
 	slab := make([]spatial.Entry, total)
-	fill := make([]int32, 4*occupied) // per (slot, class) write cursor
 
 	// One sweep assigns slots in ascending tile-ID order, carves the
 	// exact-size class slices (cap pinned to len, so a later Insert
-	// reallocates instead of clobbering a neighbor's slab region), and
-	// splits the ID space into ranges of roughly equal placement mass
-	// for pass 2.
+	// reallocates instead of clobbering a neighbor's slab region), turns
+	// each (tile, class) count into that class's slab offset — pass 2's
+	// write cursor — and splits the ID space into ranges of roughly
+	// equal placement mass for pass 2.
 	target := (total + threads - 1) / threads
 	bounds := make([]int, 1, threads+1) // bounds[0] = 0
 	acc := 0
@@ -165,19 +158,14 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 		if ct == 0 {
 			continue
 		}
-		slot := len(ix.tileIDs)
-		ix.tileIDs = append(ix.tileIDs, int32(id))
-		if ix.dense != nil {
-			ix.dense[id] = int32(slot)
-		} else {
-			ix.sparse[int32(id)] = int32(slot)
-		}
-		t := &ix.tiles[slot]
+		t := ix.newTile(int32(id))
 		for c := 0; c < 4; c++ {
-			if n := int(counts[base+c]); n > 0 {
+			n := int(counts[base+c])
+			if n > 0 {
 				t.classes[c] = slab[off : off+n : off+n]
-				off += n
 			}
+			counts[base+c] = int32(off)
+			off += n
 		}
 		acc += ct
 		if acc >= target && len(bounds) < threads {
@@ -218,16 +206,9 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 						txe = hi - 1 - row
 					}
 					for tx := txs; tx <= txe; tx++ {
-						var slot int32
-						if ix.dense != nil {
-							slot = ix.dense[row+tx]
-						} else {
-							slot = ix.sparse[int32(row+tx)]
-						}
-						c := classify(tx, ty, ax, ay)
-						k := int(slot)*4 + int(c)
-						ix.tiles[slot].classes[c][fill[k]] = *e
-						fill[k]++
+						k := (row+tx)*4 + int(classify(tx, ty, ax, ay))
+						slab[counts[k]] = *e
+						counts[k]++
 					}
 				}
 			}
@@ -240,11 +221,11 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 }
 
 // buildDecomposedParallel fans the per-tile table construction of
-// BuildDecomposed across a worker pool. Tiles are independent (each
-// worker writes only the dec pointer of tiles it claimed), so no
-// synchronization beyond the claim cursor is needed.
+// BuildDecomposed across a worker pool that claims whole tile pages.
+// Pages are independent (each worker writes only the page-table entry and
+// the dec pointers of pages it claimed), so no synchronization beyond the
+// claim cursor is needed.
 func (ix *Index) buildDecomposedParallel(threads int) {
-	const chunk = 64 // tiles claimed per cursor bump
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -252,16 +233,11 @@ func (ix *Index) buildDecomposedParallel(threads int) {
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= len(ix.tiles) {
+				p := int(next.Add(1)) - 1
+				if p >= len(ix.pages) {
 					return
 				}
-				hi := min(lo+chunk, len(ix.tiles))
-				for i := lo; i < hi; i++ {
-					if t := &ix.tiles[i]; t.dec == nil {
-						t.dec = buildDecTile(t)
-					}
-				}
+				ix.decomposePage(p)
 			}
 		}()
 	}

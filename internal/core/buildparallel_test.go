@@ -29,16 +29,8 @@ func lowerBuildGates(t *testing.T) {
 
 // tileByID returns the tile with the given tile ID, or nil.
 func tileByID(ix *Index, id int32) *tile {
-	if ix.dense != nil {
-		if slot := ix.dense[id]; slot >= 0 {
-			return &ix.tiles[slot]
-		}
-		return nil
-	}
-	if slot, ok := ix.sparse[id]; ok {
-		return &ix.tiles[slot]
-	}
-	return nil
+	tx, ty := ix.g.TileCoords(int(id))
+	return ix.tileAt(tx, ty)
 }
 
 // sameClassSlices fails unless the two tiles hold elementwise-identical
@@ -120,14 +112,14 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		if seq.Len() != par.Len() {
 			t.Fatalf("%s: size %d (seq) vs %d (par)", cfg, seq.Len(), par.Len())
 		}
-		if len(seq.tileIDs) != len(par.tileIDs) {
-			t.Fatalf("%s: %d tiles (seq) vs %d (par)", cfg, len(seq.tileIDs), len(par.tileIDs))
+		if seq.ntiles != par.ntiles {
+			t.Fatalf("%s: %d tiles (seq) vs %d (par)", cfg, seq.ntiles, par.ntiles)
 		}
 		if par.Epoch() != 0 {
 			t.Fatalf("%s: parallel build published epoch %d, want 0", cfg, par.Epoch())
 		}
-		for _, id := range seq.tileIDs {
-			st, pt := tileByID(seq, id), tileByID(par, id)
+		for id, st := range seq.allTiles() {
+			pt := tileByID(par, id)
 			if pt == nil {
 				t.Fatalf("%s: tile %d missing from parallel build", cfg, id)
 			}

@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/grid"
@@ -151,13 +152,6 @@ func (o Options) withDefaults() Options {
 type tile struct {
 	classes [4][]spatial.Entry
 	dec     *decTile // nil until built; invalidated by updates
-	// epoch is the copy-on-write generation that privately owns the class
-	// slices. Mutations compare it against the index epoch: on a mismatch
-	// (the tile is shared with an older published snapshot) the slices are
-	// cloned first. Directly built indices — sequential or parallel —
-	// stay at epoch 0 throughout, so the check never copies anything on
-	// the non-MVCC path.
-	epoch uint64
 }
 
 func (t *tile) size() int {
@@ -172,11 +166,12 @@ type Index struct {
 	g    *grid.Grid
 	opts Options
 
-	// Tile directory: exactly one of dense/sparse is used.
-	dense   []int32         // tile ID -> index into tiles, -1 if empty
-	sparse  map[int32]int32 // tile ID -> index into tiles
-	tiles   []tile
-	tileIDs []int32 // slot -> grid tile ID (reverse directory)
+	// Tile directory: exactly one of dense/sparse is used. Both map a
+	// grid tile ID to a slot of the paged tile pool (pages.go).
+	dense  []*dirPage      // paged by tile ID; slot -1 if empty
+	sparse map[int32]int32 // tile ID -> slot
+	pages  []*tilePage     // slot -> tile and its grid tile ID
+	ntiles int             // occupied slots
 
 	dataset *spatial.Dataset // for refinement; may be nil
 	size    int              // number of distinct objects inserted
@@ -186,9 +181,13 @@ type Index struct {
 	// directly built index, the publish sequence number for snapshots
 	// descending from CloneCOW (see Live).
 	epoch uint64
-	// sharedDir marks the tile directory (dense/sparse plus tileIDs) as
-	// shared with an older snapshot; it is copied before the first tile
-	// allocation (existing-tile lookups never mutate it).
+	// owner is the token that marks the tile and directory pages this
+	// index may write in place (pages.go). New and CloneCOW draw a fresh
+	// one, so a clone writes only pages it copied or created.
+	owner uint64
+	// sharedDir marks the tile directory (the dense page table or the
+	// sparse map) as shared with an older snapshot; it is copied before
+	// the first tile allocation (existing-tile lookups never mutate it).
 	sharedDir bool
 
 	// Stats, when non-nil, accumulates instrumentation counters during
@@ -242,9 +241,10 @@ func (ix *Index) Epoch() uint64 { return ix.epoch }
 // recovery (internal/wal): after replaying write-ahead-log batches onto a
 // checkpoint-loaded index, the index's epoch must equal the epoch of the
 // last replayed batch so that new publishes continue the logged sequence
-// instead of reusing epochs already on disk. Raising the epoch is always
-// safe (tiles cloned lazily on the next mutation); it must not be called
-// on an index shared with concurrent readers.
+// instead of reusing epochs already on disk. The epoch only numbers
+// publishes: page ownership (pages.go) does not depend on it, so raising
+// it copies nothing. It must not be called on an index shared with
+// concurrent readers.
 func (ix *Index) SetEpoch(e uint64) { ix.epoch = e }
 
 // SetBuildThreads overrides Options.BuildThreads on an existing index,
@@ -256,18 +256,19 @@ func (ix *Index) SetBuildThreads(n int) { ix.opts.BuildThreads = n }
 
 // CloneCOW returns a writable copy of the index for the next epoch, while
 // ix remains a consistent immutable snapshot that concurrent readers may
-// keep querying. The copy shares all entry storage (class slices and
-// decomposed tables) with ix: Insert and Delete on the copy clone the
-// class slices of a touched tile on first touch (copy-on-write at tile
-// granularity), and the tile directory is copied only if a previously
-// empty tile is populated. The fixed per-clone cost is a shallow copy of
-// the tile table — one small struct per occupied tile — which batching
-// writers (see Live) amortize over many mutations per publish.
+// keep querying. The copy shares all tile pages, directory pages and
+// entry storage with ix; the fixed per-clone cost is a copy of the tile
+// page table, one pointer per tilePageSize occupied tiles. Insert and
+// Delete on the copy then copy only what they write: each touched tile
+// page, and a touched tile's class slices, on first touch, plus the
+// directory page and the tail tile page when a previously empty tile is
+// populated (see pages.go). Only the sparse directory, used past
+// DenseDirectoryLimit tiles, is still copied whole on the first new tile.
 func (ix *Index) CloneCOW() *Index {
 	cp := *ix
 	cp.epoch++
-	cp.tiles = make([]tile, len(ix.tiles))
-	copy(cp.tiles, ix.tiles)
+	cp.owner = newOwner()
+	cp.pages = slices.Clone(ix.pages)
 	cp.sharedDir = true
 	cp.knn = nil
 	cp.Stats = nil
@@ -275,59 +276,17 @@ func (ix *Index) CloneCOW() *Index {
 	return &cp
 }
 
-// unshareDir gives a cloned index a private tile directory before its
-// first tile allocation. Appends to tileIDs and directory writes would
-// otherwise be visible to (or race with) readers of older snapshots.
-func (ix *Index) unshareDir() {
-	if ix.dense != nil {
-		d := make([]int32, len(ix.dense))
-		copy(d, ix.dense)
-		ix.dense = d
-	} else {
-		m := make(map[int32]int32, len(ix.sparse)+1)
-		for k, v := range ix.sparse {
-			m[k] = v
-		}
-		ix.sparse = m
-	}
-	ids := make([]int32, len(ix.tileIDs), len(ix.tileIDs)+1)
-	copy(ids, ix.tileIDs)
-	ix.tileIDs = ids
-	ix.sharedDir = false
-}
-
-// cowTile makes t's class slices privately owned by the current epoch,
-// cloning them on the first mutation after CloneCOW. On a directly built
-// index (epoch 0 everywhere) this is a single predictable branch.
-func (ix *Index) cowTile(t *tile) {
-	if t.epoch == ix.epoch {
-		return
-	}
-	for c := range t.classes {
-		if n := len(t.classes[c]); n > 0 {
-			cl := make([]spatial.Entry, n)
-			copy(cl, t.classes[c])
-			t.classes[c] = cl
-		} else {
-			t.classes[c] = nil // drop any backing shared with older epochs
-		}
-	}
-	t.epoch = ix.epoch
-}
-
 // New builds an empty two-layer index.
 func New(opts Options) *Index {
 	opts = opts.withDefaults()
 	ix := &Index{
-		g:    grid.New(opts.Space, opts.NX, opts.NY),
-		opts: opts,
-		met:  &pathMetrics{},
+		g:     grid.New(opts.Space, opts.NX, opts.NY),
+		opts:  opts,
+		met:   &pathMetrics{},
+		owner: newOwner(),
 	}
 	if !opts.SparseDirectory && opts.NX*opts.NY <= opts.DenseDirectoryLimit {
-		ix.dense = make([]int32, opts.NX*opts.NY)
-		for i := range ix.dense {
-			ix.dense[i] = -1
-		}
+		ix.dense = newDenseDir(opts.NX * opts.NY)
 	} else {
 		ix.sparse = make(map[int32]int32)
 	}
@@ -388,8 +347,8 @@ func (ix *Index) Len() int { return ix.size }
 // reference tile (the tile its clamped bottom-left corner falls in) —
 // so scanning the A lists enumerates the index without deduplication.
 func (ix *Index) ForEach(fn func(e spatial.Entry)) {
-	for i := range ix.tiles {
-		for _, e := range ix.tiles[i].classes[ClassA] {
+	for _, t := range ix.allTiles() {
+		for _, e := range t.classes[ClassA] {
 			fn(e)
 		}
 	}
@@ -404,45 +363,6 @@ func (ix *Index) Dataset() *spatial.Dataset { return ix.dataset }
 // shard's refinement at the full dataset so exact-geometry lookups by
 // global ID stay correct.
 func (ix *Index) SetDataset(d *spatial.Dataset) { ix.dataset = d }
-
-// tileAt returns the tile stored for (ix,iy), or nil when empty.
-func (ix *Index) tileAt(tx, ty int) *tile {
-	id := int32(ix.g.TileID(tx, ty))
-	if ix.dense != nil {
-		if slot := ix.dense[id]; slot >= 0 {
-			return &ix.tiles[slot]
-		}
-		return nil
-	}
-	if slot, ok := ix.sparse[id]; ok {
-		return &ix.tiles[slot]
-	}
-	return nil
-}
-
-// tileFor returns the tile for (ix,iy), allocating it if needed.
-func (ix *Index) tileFor(tx, ty int) *tile {
-	id := int32(ix.g.TileID(tx, ty))
-	if ix.dense != nil {
-		if slot := ix.dense[id]; slot >= 0 {
-			return &ix.tiles[slot]
-		}
-	} else if slot, ok := ix.sparse[id]; ok {
-		return &ix.tiles[slot]
-	}
-	if ix.sharedDir {
-		ix.unshareDir()
-	}
-	ix.tiles = append(ix.tiles, tile{})
-	ix.tileIDs = append(ix.tileIDs, id)
-	slot := int32(len(ix.tiles) - 1)
-	if ix.dense != nil {
-		ix.dense[id] = slot
-	} else {
-		ix.sparse[id] = slot
-	}
-	return &ix.tiles[slot]
-}
 
 // classify returns the class of an entry in tile (tx,ty), given the cover
 // range [ax..bx]x[ay..by] of the entry's MBR. Classification is done in
@@ -476,7 +396,6 @@ func (ix *Index) insert(e spatial.Entry) {
 	for ty := ay; ty <= by; ty++ {
 		for tx := ax; tx <= bx; tx++ {
 			t := ix.tileFor(tx, ty)
-			ix.cowTile(t)
 			c := classify(tx, ty, ax, ay)
 			t.classes[c] = append(t.classes[c], e)
 			t.dec = nil // decomposed tables are now stale
@@ -495,22 +414,23 @@ func (ix *Index) Insert(e spatial.Entry) { ix.insert(e) }
 // determines the replication tiles. It reports whether the object was
 // found.
 func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
-	ix.counts = nil // prefix-sum count table is now stale
 	ax, ay, bx, by := ix.g.CoverRect(r)
 	found := false
 	for ty := ay; ty <= by; ty++ {
 		for tx := ax; tx <= bx; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
+			slot := ix.slotAt(tx, ty)
+			if slot < 0 {
 				continue
 			}
+			t, _ := ix.slotTile(slot)
 			c := classify(tx, ty, ax, ay)
 			list := t.classes[c]
 			for i := range list {
 				if list[i].ID == id {
-					// Clone shared storage before the in-place swap-remove;
-					// the clone invalidates list, so re-fetch it.
-					ix.cowTile(t)
+					// Privatize shared storage before the in-place
+					// swap-remove; that invalidates t and list, so
+					// re-fetch both.
+					t = ix.writableTile(slot)
 					list = t.classes[c]
 					list[i] = list[len(list)-1]
 					t.classes[c] = list[:len(list)-1]
@@ -523,6 +443,7 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 	}
 	if found {
 		ix.size--
+		ix.counts = nil // prefix-sum count table is now stale
 	}
 	return found
 }
@@ -532,15 +453,19 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 func (ix *Index) MemoryFootprint() int {
 	const entryBytes = 40 // 4 float64 + id + padding
 	total := 0
-	for i := range ix.tiles {
-		t := &ix.tiles[i]
+	for _, t := range ix.allTiles() {
 		total += t.size() * entryBytes
 		if t.dec != nil {
 			total += t.dec.footprint()
 		}
 	}
 	if ix.dense != nil {
-		total += 4 * len(ix.dense)
+		total += 8 * len(ix.dense)
+		for _, pg := range ix.dense {
+			if pg != emptyDirPage {
+				total += 4 * dirPageSize
+			}
+		}
 	} else {
 		total += 16 * len(ix.sparse)
 	}
@@ -554,8 +479,8 @@ func (ix *Index) ReplicationFactor() float64 {
 		return 0
 	}
 	stored := 0
-	for i := range ix.tiles {
-		stored += ix.tiles[i].size()
+	for _, t := range ix.allTiles() {
+		stored += t.size()
 	}
 	return float64(stored) / float64(ix.size)
 }
@@ -564,9 +489,9 @@ func (ix *Index) ReplicationFactor() float64 {
 // by tests and the experiment reports.
 func (ix *Index) ClassCounts() [4]int {
 	var n [4]int
-	for i := range ix.tiles {
+	for _, t := range ix.allTiles() {
 		for c := 0; c < 4; c++ {
-			n[c] += len(ix.tiles[i].classes[c])
+			n[c] += len(t.classes[c])
 		}
 	}
 	return n

@@ -111,13 +111,24 @@ func (ix *Index) BuildDecomposed() {
 	// pushdown's prefix table is rebuilt here too.
 	defer ix.buildCountIndex()
 	if threads := resolveBuildThreads(ix.opts.BuildThreads); threads > 1 &&
-		len(ix.tiles) >= minParallelDecTiles {
+		ix.ntiles >= minParallelDecTiles {
 		ix.buildDecomposedParallel(threads)
 		return
 	}
-	for i := range ix.tiles {
-		if t := &ix.tiles[i]; t.dec == nil {
-			t.dec = buildDecTile(t)
+	for p := range ix.pages {
+		ix.decomposePage(p)
+	}
+}
+
+// decomposePage builds the missing decomposed tables of tile page p. A
+// page holding a stale tile is made private first, so a copy-on-write
+// clone never writes dec into a page an older snapshot still reads.
+func (ix *Index) decomposePage(p int) {
+	pg := ix.pages[p]
+	for i := range ix.pageLen(p) {
+		if pg.tiles[i].dec == nil {
+			pg = ix.ownTilePage(p)
+			pg.tiles[i].dec = buildDecTile(&pg.tiles[i])
 		}
 	}
 }

@@ -62,9 +62,7 @@ func (ix *Index) Join(other *Index, fn func(r, s spatial.Entry)) {
 			s.Results++
 			inner(r, e)
 		}
-		for slot := range ix.tiles {
-			tR := &ix.tiles[slot]
-			tid := ix.tileIDs[slot]
+		for tid, tR := range ix.allTiles() {
 			tx, ty := ix.g.TileCoords(int(tid))
 			tS := other.tileAt(tx, ty)
 			if tS == nil {
@@ -76,9 +74,7 @@ func (ix *Index) Join(other *Index, fn func(r, s spatial.Entry)) {
 		return
 	}
 	// Drive from the smaller tile set.
-	for slot := range ix.tiles {
-		tR := &ix.tiles[slot]
-		tid := ix.tileIDs[slot]
+	for tid, tR := range ix.allTiles() {
 		tx, ty := ix.g.TileCoords(int(tid))
 		tS := other.tileAt(tx, ty)
 		if tS == nil {

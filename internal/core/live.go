@@ -20,9 +20,10 @@ import (
 // reader sees one consistent epoch for its whole request. Writers submit
 // mutations to a single-writer apply loop that batches whatever is
 // pending, applies the batch copy-on-write to a clone of the current
-// snapshot (CloneCOW: only touched tiles deep-copy their entry storage —
-// grid replication keeps the touched-tile set small per mutation), and
-// atomically publishes the clone as the next epoch. Submissions block
+// snapshot (CloneCOW copies only the tile page table; the batch then
+// copies the tile pages and class slices it touches — grid replication
+// keeps that set small per mutation), and atomically publishes the clone
+// as the next epoch. Submissions block
 // until their batch is published, so a writer that got its ack observes
 // its own write in every later Snapshot (read-your-writes).
 //
@@ -47,10 +48,12 @@ var ErrBacklogFull = errors.New("core: live mutation backlog is full")
 
 // LiveOptions tune the apply loop of a Live index.
 type LiveOptions struct {
-	// MaxBatch caps the mutations applied per published snapshot.
-	// Larger batches amortize the per-publish snapshot clone over more
-	// mutations; smaller ones reduce writer-observed latency.
-	// Defaults to 256.
+	// MaxBatch caps the mutations applied per published snapshot. A
+	// publish costs the pages its batch touches plus a fixed part (the
+	// tile page table copy, the journal write, the snapshot swap), so
+	// larger batches spread that fixed part over more mutations and
+	// share pages between them; smaller ones reduce writer-observed
+	// latency. Defaults to 256.
 	MaxBatch int
 	// QueueDepth is the capacity of the mutation queue; submissions
 	// beyond it block (backpressure). Defaults to 1024.

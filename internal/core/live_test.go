@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,59 +19,240 @@ func everything() geom.Rect {
 }
 
 // TestCloneCOWIsolation: mutating a clone must not change the original,
-// across inserts, deletes, and tiles shared between epochs.
+// across inserts, deletes, and tiles shared between epochs. The paged
+// input spans many tile pages and rebuilds the clone's decomposed tables:
+// the original keeps its answers and its tables, pages the clone never
+// touched stay shared by pointer, and every page it touched is a copy.
 func TestCloneCOWIsolation(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	ix, d := buildRandom(rnd, 2000, 0.05, Options{NX: 32, NY: 32, Space: unitSquare})
-	wantIDs := ix.WindowIDs(everything(), nil)
+	for _, tc := range []struct {
+		name         string
+		opts         Options
+		n, del, ins  int
+		side         float64
+		expectShared bool
+	}{
+		{"flat", Options{NX: 32, NY: 32, Space: unitSquare}, 2000, 1000, 500, 0.05, false},
+		{"paged", Options{NX: 256, NY: 256, Space: unitSquare, Decompose: true}, 4000, 40, 20, 0.01, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(7))
+			ix, d := buildRandom(rnd, tc.n, tc.side, tc.opts)
+			wantIDs := ix.WindowIDs(everything(), nil)
+			wantDec := decTables(ix)
 
-	cl := ix.CloneCOW()
-	if cl.Epoch() != ix.Epoch()+1 {
-		t.Fatalf("clone epoch = %d, want %d", cl.Epoch(), ix.Epoch()+1)
-	}
-	// Delete half the objects and insert some new ones through the clone.
-	for id := 0; id < 1000; id++ {
-		if !cl.Delete(spatial.ID(id), d.Entries[id].Rect) {
-			t.Fatalf("clone delete %d not found", id)
-		}
-	}
-	for i := 0; i < 500; i++ {
-		r := randRects(rnd, 1, 0.05)[0]
-		cl.Insert(spatial.Entry{ID: spatial.ID(5000 + i), Rect: r})
-	}
+			cl := ix.CloneCOW()
+			if cl.Epoch() != ix.Epoch()+1 {
+				t.Fatalf("clone epoch = %d, want %d", cl.Epoch(), ix.Epoch()+1)
+			}
+			// Delete some objects and insert new ones through the clone.
+			var touched []geom.Rect
+			for id := 0; id < tc.del; id++ {
+				if !cl.Delete(spatial.ID(id), d.Entries[id].Rect) {
+					t.Fatalf("clone delete %d not found", id)
+				}
+				touched = append(touched, d.Entries[id].Rect)
+			}
+			for i := 0; i < tc.ins; i++ {
+				r := randRects(rnd, 1, tc.side)[0]
+				cl.Insert(spatial.Entry{ID: spatial.ID(5000 + i), Rect: r})
+				touched = append(touched, r)
+			}
+			if tc.opts.Decompose {
+				cl.BuildDecomposed()
+			}
 
-	// Original unchanged, exactly.
-	sameIDs(t, ix.WindowIDs(everything(), nil), wantIDs, "original after clone mutation")
-	if ix.Len() != 2000 {
-		t.Fatalf("original Len = %d, want 2000", ix.Len())
-	}
-	// Clone holds the mutated object set.
-	if cl.Len() != 1500 {
-		t.Fatalf("clone Len = %d, want 1500", cl.Len())
-	}
-	got := cl.WindowIDs(everything(), nil)
-	noDuplicates(t, got, "clone full scan")
-	if len(got) != 1500 {
-		t.Fatalf("clone full scan returned %d, want 1500", len(got))
+			// Original unchanged, exactly.
+			sameIDs(t, ix.WindowIDs(everything(), nil), wantIDs, "original after clone mutation")
+			if ix.Len() != tc.n {
+				t.Fatalf("original Len = %d, want %d", ix.Len(), tc.n)
+			}
+			sameDec(t, ix, wantDec)
+			// Clone holds the mutated object set.
+			want := tc.n - tc.del + tc.ins
+			if cl.Len() != want {
+				t.Fatalf("clone Len = %d, want %d", cl.Len(), want)
+			}
+			got := cl.WindowIDs(everything(), nil)
+			noDuplicates(t, got, "clone full scan")
+			if len(got) != want {
+				t.Fatalf("clone full scan returned %d, want %d", len(got), want)
+			}
+			if tc.opts.Decompose {
+				for id, tl := range cl.allTiles() {
+					if tl.dec == nil {
+						t.Fatalf("clone tile %d has no decomposed tables after BuildDecomposed", id)
+					}
+				}
+			}
+			checkPageSharing(t, ix, cl, touched, tc.expectShared)
+		})
 	}
 }
 
 // TestCloneCOWNewTiles: populating previously empty tiles in a clone must
 // not surface in the original (directory copy-on-write), for both dense
-// and sparse directories.
+// and sparse directories. The 256x256 input fills a quadrant first, so
+// the tile pool and the dense directory span many pages: the clone copies
+// only the directory page and the tail tile page it writes.
 func TestCloneCOWNewTiles(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		ix := New(Options{NX: 16, NY: 16, Space: unitSquare, SparseDirectory: sparse})
-		ix.Insert(spatial.Entry{ID: 0, Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.12, MaxY: 0.12}})
-		cl := ix.CloneCOW()
-		// Far corner: guaranteed new tiles.
-		cl.Insert(spatial.Entry{ID: 1, Rect: geom.Rect{MinX: 0.9, MinY: 0.9, MaxX: 0.92, MaxY: 0.92}})
-		if n := ix.WindowCount(everything()); n != 1 {
-			t.Fatalf("sparse=%v: original sees %d objects, want 1", sparse, n)
+	far := geom.Rect{MinX: 0.9, MinY: 0.9, MaxX: 0.92, MaxY: 0.92}
+	for _, grid := range []int{16, 256} {
+		for _, sparse := range []bool{false, true} {
+			ix := New(Options{NX: grid, NY: grid, Space: unitSquare, SparseDirectory: sparse})
+			ix.Insert(spatial.Entry{ID: 0, Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.12, MaxY: 0.12}})
+			paged := grid > 16
+			if paged {
+				rnd := rand.New(rand.NewSource(11))
+				for i, r := range randRects(rnd, 3000, 0.01) {
+					r.MinX, r.MaxX = r.MinX*0.45, r.MaxX*0.45
+					r.MinY, r.MaxY = r.MinY*0.45, r.MaxY*0.45
+					ix.Insert(spatial.Entry{ID: spatial.ID(10 + i), Rect: r})
+				}
+				ix.BuildDecomposed()
+			}
+			n := ix.Len()
+			wantDec := decTables(ix)
+			cl := ix.CloneCOW()
+			// Far corner: guaranteed new tiles.
+			cl.Insert(spatial.Entry{ID: 1, Rect: far})
+			if paged {
+				cl.BuildDecomposed()
+				sameDec(t, ix, wantDec)
+				checkPageSharing(t, ix, cl, []geom.Rect{far}, true)
+				if !sparse {
+					checkDirSharing(t, ix, cl)
+				}
+			}
+			if got := ix.WindowCount(everything()); got != n {
+				t.Fatalf("grid=%d sparse=%v: original sees %d objects, want %d", grid, sparse, got, n)
+			}
+			if got := cl.WindowCount(everything()); got != n+1 {
+				t.Fatalf("grid=%d sparse=%v: clone sees %d objects, want %d", grid, sparse, got, n+1)
+			}
 		}
-		if n := cl.WindowCount(everything()); n != 2 {
-			t.Fatalf("sparse=%v: clone sees %d objects, want 2", sparse, n)
+	}
+}
+
+// decTables records each tile's decomposed-table pointer by tile ID.
+func decTables(ix *Index) map[int32]*decTile {
+	m := make(map[int32]*decTile)
+	for id, tl := range ix.allTiles() {
+		m[id] = tl.dec
+	}
+	return m
+}
+
+// sameDec fails unless ix still holds exactly the tiles and decomposed
+// tables recorded by decTables.
+func sameDec(t *testing.T, ix *Index, want map[int32]*decTile) {
+	t.Helper()
+	got := decTables(ix)
+	if len(got) != len(want) {
+		t.Fatalf("original has %d tiles, want %d", len(got), len(want))
+	}
+	for id, dec := range want {
+		if got[id] != dec {
+			t.Fatalf("original's decomposed tables of tile %d changed", id)
 		}
+	}
+}
+
+// checkPageSharing asserts that cl copied exactly the tile pages of orig
+// that hold a tile some mutated rectangle covers (the tail page included,
+// when new tiles landed in it), and shares every other page by pointer.
+// With wantShared, at least one page must have stayed shared.
+func checkPageSharing(t *testing.T, orig, cl *Index, touched []geom.Rect, wantShared bool) {
+	t.Helper()
+	dirty := make(map[int]bool)
+	for _, r := range touched {
+		ax, ay, bx, by := cl.g.CoverRect(r)
+		for ty := ay; ty <= by; ty++ {
+			for tx := ax; tx <= bx; tx++ {
+				if slot := cl.slotAt(tx, ty); slot >= 0 {
+					dirty[int(slot>>tilePageShift)] = true
+				}
+			}
+		}
+	}
+	shared := 0
+	for p := range orig.pages {
+		switch {
+		case dirty[p] && cl.pages[p] == orig.pages[p]:
+			t.Fatalf("tile page %d holds a mutated tile but is shared with the original", p)
+		case !dirty[p] && cl.pages[p] != orig.pages[p]:
+			t.Fatalf("tile page %d was copied though the clone never touched it", p)
+		case !dirty[p]:
+			shared++
+		}
+	}
+	if wantShared && shared == 0 {
+		t.Fatalf("all %d tile pages copied; none left to share", len(orig.pages))
+	}
+}
+
+// checkDirSharing asserts that cl copied exactly the dense directory
+// pages holding a tile it created, and shares the rest by pointer.
+func checkDirSharing(t *testing.T, orig, cl *Index) {
+	t.Helper()
+	dirty := make(map[int32]bool)
+	for slot := int32(orig.ntiles); slot < int32(cl.ntiles); slot++ {
+		_, id := cl.slotTile(slot)
+		dirty[id>>dirPageShift] = true
+	}
+	if len(dirty) == 0 {
+		t.Fatal("clone created no tiles")
+	}
+	for p := range orig.dense {
+		if shared := cl.dense[p] == orig.dense[p]; shared == dirty[int32(p)] {
+			t.Fatalf("directory page %d: shared=%v, written by the clone=%v", p, shared, dirty[int32(p)])
+		}
+	}
+}
+
+// TestLivePublishAllocFlat: the bytes a publish allocates track the tiles
+// its batch touches, not the tiles in the index. The same objects on a
+// 1024x1024 grid occupy about six times the tiles they do at 128x128,
+// yet publishing one insert that touches a single existing tile may
+// allocate at most twice as much there, and never more than 512 KiB.
+func TestLivePublishAllocFlat(t *testing.T) {
+	rects := randRects(rand.New(rand.NewSource(12)), 20_000, 0.002)
+	publishBytes := func(grid int) (uint64, int) {
+		ix := Build(spatial.NewDataset(rects), Options{NX: grid, NY: grid, Space: unitSquare})
+		tiles := ix.ntiles
+		l := NewLive(ix, LiveOptions{})
+		defer l.Close()
+		var samples []uint64
+		var ms runtime.MemStats
+		for i := 0; i < 9; i++ {
+			// A speck inside one tile at both grids, so each publish
+			// touches exactly one existing tile.
+			x := 0.5003 + float64(i)*1e-6
+			e := spatial.Entry{ID: spatial.ID(100_000 + i),
+				Rect: geom.Rect{MinX: x, MinY: 0.5003, MaxX: x + 1e-7, MaxY: 0.5003 + 1e-7}}
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if _, err := l.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			samples = append(samples, ms.TotalAlloc-before)
+		}
+		slices.Sort(samples)
+		return samples[len(samples)/2], tiles
+	}
+	small, smallTiles := publishBytes(128)
+	large, largeTiles := publishBytes(1024)
+	t.Logf("publish alloc: %d B at 128² (%d tiles), %d B at 1024² (%d tiles)",
+		small, smallTiles, large, largeTiles)
+	if largeTiles < 5*smallTiles {
+		t.Fatalf("1024² grid occupies %d tiles, 128² %d: input does not grow the index", largeTiles, smallTiles)
+	}
+	if large > 2*small {
+		t.Errorf("publish allocates %d B at 1024², more than twice the %d B at 128²", large, small)
+	}
+	const limit = 512 << 10
+	if large > limit {
+		t.Errorf("publish allocates %d B at 1024², over the %d B cap", large, limit)
 	}
 }
 

@@ -81,9 +81,8 @@ func (ix *Index) JoinParallel(other *Index, threads int, fn func(r, s spatial.En
 		tR, tS *tile
 	}
 	var tasks []task
-	for slot := range ix.tiles {
-		tR := &ix.tiles[slot]
-		tx, ty := ix.g.TileCoords(int(ix.tileIDs[slot]))
+	for tid, tR := range ix.allTiles() {
+		tx, ty := ix.g.TileCoords(int(tid))
 		if tS := other.tileAt(tx, ty); tS != nil {
 			tasks = append(tasks, task{tR: tR, tS: tS})
 		}

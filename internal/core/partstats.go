@@ -54,8 +54,7 @@ func (ix *Index) PartitionStats() PartitionStats {
 		GridTiles: ix.g.NX * ix.g.NY,
 		Objects:   ix.size,
 	}
-	for i := range ix.tiles {
-		t := &ix.tiles[i]
+	for _, t := range ix.allTiles() {
 		n := t.size()
 		if n == 0 {
 			continue

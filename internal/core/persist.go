@@ -70,15 +70,14 @@ func (ix *Index) writeVersion(w io.Writer, version uint32) (int64, error) {
 	if version >= 2 {
 		hdr = append(hdr, ix.epoch)
 	}
-	hdr = append(hdr, uint64(len(ix.tiles)))
+	hdr = append(hdr, uint64(ix.ntiles))
 	for _, v := range hdr {
 		if err := write(v); err != nil {
 			return cw.n, err
 		}
 	}
-	for slot := range ix.tiles {
-		t := &ix.tiles[slot]
-		if err := write(uint32(ix.tileIDs[slot])); err != nil {
+	for id, t := range ix.allTiles() {
+		if err := write(uint32(id)); err != nil {
 			return cw.n, err
 		}
 		for c := 0; c < 4; c++ {
@@ -181,8 +180,6 @@ func Load(r io.Reader) (*Index, error) {
 	// actually been read: preallocations are capped so a corrupt header
 	// cannot demand gigabytes before the decoder hits EOF.
 	const preallocCap = 1 << 10
-	ix.tiles = make([]tile, 0, min(tileCount, preallocCap))
-	ix.tileIDs = make([]int32, 0, min(tileCount, preallocCap))
 
 	maxTileID := uint32(nx) * uint32(ny)
 	for slot := uint64(0); slot < tileCount; slot++ {
@@ -193,13 +190,7 @@ func Load(r io.Reader) (*Index, error) {
 		if tileID >= maxTileID {
 			return nil, fmt.Errorf("core: tile ID %d out of range", tileID)
 		}
-		ix.tiles = append(ix.tiles, tile{})
-		ix.tileIDs = append(ix.tileIDs, int32(tileID))
-		if ix.dense != nil {
-			ix.dense[tileID] = int32(slot)
-		} else {
-			ix.sparse[int32(tileID)] = int32(slot)
-		}
+		t := ix.newTile(int32(tileID))
 		var lens [4]uint32
 		total := uint64(0)
 		for c := 0; c < 4; c++ {
@@ -211,7 +202,6 @@ func Load(r io.Reader) (*Index, error) {
 		if total > size*4+4 {
 			return nil, fmt.Errorf("core: tile %d claims %d entries for %d objects", slot, total, size)
 		}
-		t := &ix.tiles[slot]
 		for c := 0; c < 4; c++ {
 			if lens[c] == 0 {
 				continue
@@ -239,15 +229,12 @@ func Load(r io.Reader) (*Index, error) {
 	// allocation proportional to the bytes actually decoded (a corrupt
 	// header cannot demand a 128 MB directory for three tiles of data).
 	if n := int(nx) * int(ny); n <= ix.opts.DenseDirectoryLimit &&
-		n <= max(1<<20, 256*len(ix.tiles)) {
-		dense := make([]int32, n)
-		for i := range dense {
-			dense[i] = -1
+		n <= max(1<<20, 256*ix.ntiles) {
+		sparse := ix.sparse
+		ix.dense, ix.sparse = newDenseDir(n), nil
+		for id, slot := range sparse {
+			ix.setDirSlot(id, slot)
 		}
-		for id, slot := range ix.sparse {
-			dense[id] = slot
-		}
-		ix.dense, ix.sparse = dense, nil
 	}
 	if ix.opts.Decompose {
 		ix.BuildDecomposed()

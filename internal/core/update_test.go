@@ -61,9 +61,9 @@ func TestDeleteRemovesFromAllTiles(t *testing.T) {
 		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(remaining, w), "after delete")
 	}
 	// No replica of a deleted object may remain anywhere.
-	for i := range ix.tiles {
+	for _, tl := range ix.allTiles() {
 		for c := ClassA; c <= ClassD; c++ {
-			for _, e := range ix.tiles[i].classes[c] {
+			for _, e := range tl.classes[c] {
 				if e.ID%3 == 0 {
 					t.Fatalf("deleted object %d still stored", e.ID)
 				}
@@ -73,17 +73,50 @@ func TestDeleteRemovesFromAllTiles(t *testing.T) {
 }
 
 // TestDeleteMissing: deleting an absent object reports false and leaves
-// the index intact.
+// the index intact, including the count pushdown's prefix table.
 func TestDeleteMissing(t *testing.T) {
 	rnd := rand.New(rand.NewSource(73))
-	rects := randRects(rnd, 100, 0.1)
-	ix := Build(spatial.NewDataset(rects), Options{NX: 8, NY: 8})
+	// Keep tile (3,3) of the 8x8 grid empty (with a margin): the prefix
+	// table counts it as a fast tile, the per-tile fallback skips it.
+	var rects []geom.Rect
+	hole := geom.Rect{MinX: 0.37, MinY: 0.37, MaxX: 0.51, MaxY: 0.51}
+	for _, r := range randRects(rnd, 200, 0.1) {
+		if !r.Intersects(hole) && len(rects) < 100 {
+			rects = append(rects, r)
+		}
+	}
+	opts := Options{NX: 8, NY: 8, Space: unitSquare}
+	ix := Build(spatial.NewDataset(rects), opts)
 	before := ix.Len()
+	table := ix.counts
+	if table == nil {
+		t.Fatal("Build left no prefix table")
+	}
 	if ix.Delete(9999, geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.6}) {
 		t.Error("Delete of missing object reported true")
 	}
 	if ix.Len() != before {
 		t.Error("Len changed on failed delete")
+	}
+	if ix.counts != table {
+		t.Fatal("failed delete dropped the prefix table")
+	}
+	// Still used: a whole-space count does the same fast-path work as on
+	// a fresh build of the same data, and gets the same answer.
+	fresh := Build(spatial.NewDataset(rects), opts)
+	fastTiles := func(ix *Index) (int, int64) {
+		s0 := ix.QueryPathStats().FastTiles
+		n := ix.WindowCountFast(everything())
+		return n, ix.QueryPathStats().FastTiles - s0
+	}
+	gotN, gotFast := fastTiles(ix)
+	wantN, wantFast := fastTiles(fresh)
+	if gotN != len(rects) || wantN != len(rects) {
+		t.Fatalf("whole-space count = %d (fresh %d), want %d", gotN, wantN, len(rects))
+	}
+	if gotFast != wantFast {
+		t.Fatalf("count after failed delete answered %d tiles wholesale, fresh build %d: prefix table not used",
+			gotFast, wantFast)
 	}
 }
 

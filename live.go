@@ -19,10 +19,11 @@ var ErrBacklogFull = core.ErrBacklogFull
 
 // LiveOptions tune a Live index's single-writer apply loop.
 type LiveOptions struct {
-	// MaxBatch caps the mutations applied per published snapshot. Larger
-	// batches amortize the per-publish copy-on-write clone over more
-	// mutations; smaller ones reduce writer-observed latency. Defaults
-	// to 256.
+	// MaxBatch caps the mutations applied per published snapshot. A
+	// publish copies the index pages its batch touches plus a small
+	// fixed part, so larger batches spread that fixed part over more
+	// mutations and share pages between them; smaller ones reduce
+	// writer-observed latency. Defaults to 256.
 	MaxBatch int
 	// QueueDepth is the capacity of the mutation queue; submissions
 	// beyond it block (backpressure). Defaults to 1024.

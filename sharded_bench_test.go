@@ -11,9 +11,9 @@ import (
 
 // Sharded-engine benchmarks: scatter-gather query latency and live
 // mutation throughput across shard counts. `make bench-shard` records
-// them into BENCH_3.json; docs/SHARDING.md discusses the expected
-// scaling (Apply throughput grows with shards because each shard
-// publishes a copy-on-write clone of only its own slab).
+// them into BENCH_3.json; docs/SHARDING.md records how Apply throughput
+// scales with shards now that a publish copies only the pages it
+// touches.
 
 func shardedBenchRects(n int) []twolayer.Rect {
 	rnd := rand.New(rand.NewSource(42))
@@ -60,10 +60,12 @@ func BenchmarkShardedWindow(b *testing.B) {
 }
 
 // BenchmarkShardedApply measures live mutation throughput: concurrent
-// writers stream small insert/delete batches through ShardedLive. Small
-// apply batches make the per-publish copy-on-write clone the dominant
-// cost; sharding divides each clone by the shard count and runs the
-// loops in parallel, so throughput scales with shards.
+// writers stream small insert/delete batches through ShardedLive. A
+// publish copies only the tile pages its batch touches, so per-shard
+// publish cost no longer shrinks with the slab; what sharding adds is
+// one apply loop per shard running in parallel, which pays only while
+// there are cores to run them and the fan-out of a batch across shards
+// costs less than the parallelism gains.
 func BenchmarkShardedApply(b *testing.B) {
 	base := shardedBenchRects(200_000)
 	for _, shards := range []int{1, 2, 4, 8} {
